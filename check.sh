@@ -163,6 +163,13 @@ grep -q '(reconciled)' "$TDIR/profile.out" || {
 dune exec --no-build -- gigaflow-sim telemetry-check \
   --chrome "$TDIR/profile.trace.json" "$TDIR/profile.jsonl"
 
+echo "== repo benchmark self-check"
+# Every perfbench workload at a tiny scale: each decision is checked
+# against Executor.terminal_of, the modelled metrics must repeat exactly
+# across two runs, and the PSC workloads' hit rate and slowpath count must
+# equal what `gigaflow-sim run` prints for the same build.
+python3 perfbench/run.py --self-check
+
 echo "== bench overhead floor"
 # The committed benchmark figures must not contain nonsense overhead
 # numbers: any *overhead_pct below the noise floor means the bench's

@@ -9,8 +9,11 @@ let bucket_width = 4
 let max_probe = 2 * bucket_width
 let max_kicks = 8
 
-(* Slot-per-index flat arrays; [occupied] disambiguates live slots from the
-   dummy fill (Flow.zero is a legal key). *)
+(* Slot-per-index flat arrays.  [live] lists the occupied slots densely
+   (its first [size] cells) so that sweeps cost O(occupancy), not
+   O(slots); [live_index] maps a slot to its position in [live], -1 when
+   the slot is empty, which also disambiguates live slots from the dummy
+   fill (Flow.zero is a legal key).  [live] grows with occupancy. *)
 type t = {
   mutable capacity : int;
   nbuckets : int; (* power of two *)
@@ -20,7 +23,8 @@ type t = {
   keys : Flow.t array;
   hits : hit array;
   last_used : float array;
-  occupied : bool array;
+  live_index : int array;
+  mutable live : int array;
   stats : Cache_stats.t;
   mutable size : int;
 }
@@ -46,7 +50,8 @@ let create ?(policy = Evict.Lru) ?(rng_seed = 0xCC00) ~capacity () =
     keys = Array.make nslots Flow.zero;
     hits = Array.make nslots dummy_hit;
     last_used = Array.make nslots 0.0;
-    occupied = Array.make nslots false;
+    live_index = Array.make nslots (-1);
+    live = Array.make (min nslots 64) 0;
     stats = Cache_stats.create ();
     size = 0;
   }
@@ -65,6 +70,8 @@ let set_capacity t capacity =
 let occupancy t = t.size
 let stats t = t.stats
 
+let occupied t s = t.live_index.(s) >= 0
+
 let bucket1 t key = Flow.hash key land t.bmask
 
 (* Deterministic remix for the alternate bucket; nudged when it collides
@@ -75,30 +82,29 @@ let alt_bucket t key b =
   let b2 = h2 land t.bmask in
   if b2 = b then (b + 1) land t.bmask else b2
 
-(* Index of the slot holding [key] in bucket [b], or -1. *)
+(* Index of the slot holding [key] among slots [s, end_) of one bucket,
+   or -1.  The scans are top-level loops: a local [let rec] capturing
+   [t] and [key] would allocate a closure on every probe. *)
+let rec find_from t key s end_ =
+  if s = end_ then -1
+  else if occupied t s && Flow.equal t.keys.(s) key then s
+  else find_from t key (s + 1) end_
+
 let find_in_bucket t b key =
   let base = b * bucket_width in
-  let rec go i =
-    if i = bucket_width then -1
-    else if t.occupied.(base + i) && Flow.equal t.keys.(base + i) key then
-      base + i
-    else go (i + 1)
-  in
-  go 0
+  find_from t key base (base + bucket_width)
 
 let find_slot t key =
   let b1 = bucket1 t key in
   let s = find_in_bucket t b1 key in
   if s >= 0 then s else find_in_bucket t (alt_bucket t key b1) key
 
+let rec empty_from t s end_ =
+  if s = end_ then -1 else if not (occupied t s) then s else empty_from t (s + 1) end_
+
 let empty_in_bucket t b =
   let base = b * bucket_width in
-  let rec go i =
-    if i = bucket_width then -1
-    else if not t.occupied.(base + i) then base + i
-    else go (i + 1)
-  in
-  go 0
+  empty_from t base (base + bucket_width)
 
 let lookup t ~now flow =
   let s = find_slot t flow in
@@ -112,15 +118,28 @@ let lookup t ~now flow =
     None
   end
 
+(* Swap-remove: the last live slot takes the cleared slot's position. *)
 let clear_slot t s =
-  t.occupied.(s) <- false;
+  let i = t.live_index.(s) in
+  let last = t.live.(t.size - 1) in
+  t.live.(i) <- last;
+  t.live_index.(last) <- i;
+  t.live_index.(s) <- -1;
   t.keys.(s) <- Flow.zero;
   t.hits.(s) <- dummy_hit;
   t.size <- t.size - 1
 
 let fill_slot t s key hit now =
-  if not t.occupied.(s) then t.size <- t.size + 1;
-  t.occupied.(s) <- true;
+  if not (occupied t s) then begin
+    if t.size = Array.length t.live then begin
+      let grown = Array.make (min (2 * t.size) (Array.length t.keys)) 0 in
+      Array.blit t.live 0 grown 0 t.size;
+      t.live <- grown
+    end;
+    t.live.(t.size) <- s;
+    t.live_index.(s) <- t.size;
+    t.size <- t.size + 1
+  end;
   t.keys.(s) <- key;
   t.hits.(s) <- hit;
   t.last_used.(s) <- now
@@ -133,7 +152,7 @@ let pick_victim t b1 b2 =
   let add b =
     let base = b * bucket_width in
     for i = 0 to bucket_width - 1 do
-      if t.occupied.(base + i) then candidates := (base + i) :: !candidates
+      if occupied t (base + i) then candidates := (base + i) :: !candidates
     done
   in
   add b1;
@@ -242,10 +261,13 @@ let install t ~now flow hit =
     end
   end
 
+(* Walks the live list from its end: a swap-remove at position [i] moves
+   in the slot from the end, which has already been examined. *)
 let expire t ~now ~max_idle =
   let n = ref 0 in
-  for s = 0 to (t.nbuckets * bucket_width) - 1 do
-    if t.occupied.(s) && now -. t.last_used.(s) > max_idle then begin
+  for i = t.size - 1 downto 0 do
+    let s = t.live.(i) in
+    if now -. t.last_used.(s) > max_idle then begin
       clear_slot t s;
       incr n
     end
@@ -255,9 +277,28 @@ let expire t ~now ~max_idle =
 
 let invalidate_all t =
   let n = t.size in
-  Array.fill t.occupied 0 (Array.length t.occupied) false;
-  Array.fill t.keys 0 (Array.length t.keys) Flow.zero;
-  Array.fill t.hits 0 (Array.length t.hits) dummy_hit;
+  for i = 0 to n - 1 do
+    let s = t.live.(i) in
+    t.live_index.(s) <- -1;
+    t.keys.(s) <- Flow.zero;
+    t.hits.(s) <- dummy_hit
+  done;
   t.size <- 0;
   t.stats.Cache_stats.evictions <- t.stats.Cache_stats.evictions + n;
   n
+
+let slot t s = if occupied t s then Some (t.keys.(s), t.last_used.(s)) else None
+
+(* Every occupied slot is listed exactly once at its recorded position,
+   and nothing else is: the full scan the live list saves the sweeps. *)
+let check_invariants t =
+  let ok = ref (t.size >= 0 && t.size <= Array.length t.live) in
+  let occupied_slots = ref 0 in
+  Array.iteri
+    (fun s i ->
+      if i >= 0 then begin
+        incr occupied_slots;
+        if i >= t.size || t.live.(i) <> s then ok := false
+      end)
+    t.live_index;
+  !ok && !occupied_slots = t.size

@@ -52,11 +52,22 @@ val install : t -> now:float -> Gf_flow.Flow.t -> hit -> int
     refused install is counted in [Cache_stats.rejected] and returns 0. *)
 
 val expire : t -> now:float -> max_idle:float -> int
-(** Remove entries idle longer than [max_idle]; returns how many. *)
+(** Remove entries idle longer than [max_idle]; returns how many.  Walks
+    the live entries only, not every slot. *)
 
 val invalidate_all : t -> int
 (** Flush every entry (rule-change response; exact-match entries carry no
     dependency info).  Returns how many were dropped. *)
+
+val slot : t -> int -> (Gf_flow.Flow.t * float) option
+(** [slot t s] is the key and last-used time held by physical slot [s]
+    ([0 <= s < slots t]), or [None] when the slot is empty.  For tests that
+    check the sweeps against a full scan. *)
+
+val check_invariants : t -> bool
+(** The dense live-slot list that {!expire} and {!invalidate_all} walk
+    holds exactly the occupied slots, each once, and its length is
+    {!occupancy}.  O(slots). *)
 
 val max_probe : int
 (** Slots probed per lookup (two buckets × bucket width) — exported for the

@@ -53,16 +53,25 @@ type t = {
       (* hit replays stay exact under entry-set churn (ranked TSS walk) *)
 }
 
+(* The index tables start at most this many buckets and grow with
+   occupancy: [expire], [demote] and [revalidate] fold over [by_key], so
+   a table sized at a 1M-entry [capacity] would make every sweep walk 1M
+   empty buckets for a few thousand live entries.  Tables up to this
+   bound are still created at full size, so the victims [Random] picks by
+   table order do not depend on occupancy there. *)
+let initial_size = 1024
+
 let create ?(search = `Tss) ?(policy = Evict.Reject) ?(rng_seed = 0x3F1A)
     ~capacity () =
   assert (capacity > 0);
+  let size = min capacity initial_size in
   {
     capacity;
     policy;
     rng = Gf_util.Rng.create rng_seed;
     searcher = Searcher.create search;
-    by_fmatch = Fmatch.Tbl.create capacity;
-    by_key = Hashtbl.create capacity;
+    by_fmatch = Fmatch.Tbl.create size;
+    by_key = Hashtbl.create size;
     stats = Cache_stats.create ();
     next_key = 0;
     memo_tbl = Hashtbl.create 256;
@@ -345,7 +354,7 @@ let revalidate t pipeline =
   if victims <> [] then t.generation <- t.generation + 1;
   (List.length victims, !work)
 
-let entries_fmatches t = Fmatch.Tbl.fold (fun f _ acc -> f :: acc) t.by_fmatch []
+let entries t = Hashtbl.fold (fun _ (f, p) acc -> (f, p.last_used) :: acc) t.by_key []
 
 let check_invariants t =
   Fmatch.Tbl.length t.by_fmatch = Hashtbl.length t.by_key

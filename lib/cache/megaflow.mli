@@ -105,5 +105,6 @@ val revalidate : t -> Gf_pipeline.Pipeline.t -> int * int
     number of table lookups performed — the cost the paper's section 6.3.6
     compares against Gigaflow's sub-traversal revalidation. *)
 
-val entries_fmatches : t -> Gf_flow.Fmatch.t list
-(** Current entry matches (diagnostics / tests). *)
+val entries : t -> (Gf_flow.Fmatch.t * float) list
+(** Current entries' matches with their last-used times, in no particular
+    order (diagnostics / tests). *)

@@ -12,13 +12,18 @@ type t = {
   stats : Cache_stats.t;
 }
 
+(* As in [Megaflow]: the table starts at most this many buckets and grows
+   with occupancy, so [expire] folds over live entries, not over
+   [capacity] buckets. *)
+let initial_size = 1024
+
 let create ?(policy = Evict.Lru) ?(rng_seed = 0xE3C) ~capacity () =
   assert (capacity > 0);
   {
     capacity;
     policy;
     rng = Gf_util.Rng.create rng_seed;
-    table = Flow.Tbl.create capacity;
+    table = Flow.Tbl.create (min capacity initial_size);
     stats = Cache_stats.create ();
   }
 

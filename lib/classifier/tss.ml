@@ -11,6 +11,11 @@ type 'a tuple = {
   mask : Mask.t;
   buckets : 'a Entry.t list Flow.Tbl.t; (* best-first lists *)
   mutable max_priority : int;
+      (* an upper bound while [max_stale]; exact otherwise *)
+  mutable max_stale : bool;
+      (* a removal took out an entry at [max_priority]; [ensure] recomputes
+         the maximum once for all of them (many entries share the top
+         priority, so recomputing per removal makes a sweep quadratic) *)
   mutable count : int;
   mutable rank_prev : 'a tuple option;
   mutable rank_next : 'a tuple option;
@@ -84,6 +89,7 @@ let insert t entry =
             mask;
             buckets = Flow.Tbl.create 32;
             max_priority = min_int;
+            max_stale = false;
             count = 0;
             rank_prev = None;
             rank_next = None;
@@ -100,13 +106,17 @@ let insert t entry =
   if entry.Entry.priority > tuple.max_priority then tuple.max_priority <- entry.Entry.priority;
   t.dirty <- true
 
+(* Bucket lists are best-first, so each bucket's head holds its maximum. *)
 let recompute_max tuple =
   let m = ref min_int in
   Flow.Tbl.iter
     (fun _ entries ->
-      List.iter (fun (e : 'a Entry.t) -> if e.priority > !m then m := e.priority) entries)
+      match entries with
+      | (e : 'a Entry.t) :: _ -> if e.priority > !m then m := e.priority
+      | [] -> ())
     tuple.buckets;
-  tuple.max_priority <- !m
+  tuple.max_priority <- !m;
+  tuple.max_stale <- false
 
 let remove t key =
   match Hashtbl.find_opt t.by_key key with
@@ -129,7 +139,7 @@ let remove t key =
             Mask.Tbl.remove t.tuples mask;
             rank_unlink t tuple
           end
-          else if entry.Entry.priority >= tuple.max_priority then recompute_max tuple);
+          else if entry.Entry.priority >= tuple.max_priority then tuple.max_stale <- true);
       t.dirty <- true;
       true
 
@@ -138,7 +148,11 @@ let size t = Hashtbl.length t.by_key
 let ensure t =
   if t.dirty then begin
     t.ordered <-
-      Mask.Tbl.fold (fun _ tu acc -> tu :: acc) t.tuples []
+      Mask.Tbl.fold
+        (fun _ tu acc ->
+          if tu.max_stale then recompute_max tu;
+          tu :: acc)
+        t.tuples []
       |> List.sort (fun a b -> compare b.max_priority a.max_priority);
     t.dirty <- false
   end

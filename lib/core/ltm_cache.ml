@@ -67,8 +67,9 @@ let table_occupancies t = Array.map Ltm_table.occupancy t.tables
 let available_tables t =
   Array.fold_left (fun acc table -> if Ltm_table.is_full table then acc else acc + 1) 0 t.tables
 
-let apply_commit commit flow =
-  List.fold_left (fun f (field, v) -> Flow.set f field v) flow commit
+(* One flow copy for the whole commit (none when it is empty), not one
+   [Flow.set] copy per field: this runs at every matched table. *)
+let apply_commit commit flow = Flow.update flow commit
 
 let lookup_core t ~now ~entry_tag flow =
   let k = Array.length t.tables in
@@ -177,10 +178,11 @@ let plan_ex t rules =
       | [] -> `Ok (List.rev !placements)
       | rule :: rest -> (
           let max_pos = k - (m - i) in
+          let signature = Ltm_rule.signature rule in
           let rec find_reuse p =
             if p > max_pos then None
             else
-              match Ltm_table.find_identical t.tables.(p) rule with
+              match Ltm_table.find_identical t.tables.(p) signature with
               | Some stored -> Some (p, `Reuse stored)
               | None -> find_reuse (p + 1)
           in

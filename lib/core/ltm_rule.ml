@@ -38,6 +38,22 @@ let signature t =
 
 let same_rule a b = signature a = signature b
 
+(* The generic [Hashtbl.hash] stops after ten meaningful words, which for a
+   signature are the tag, the priority and the first pattern slots: rules
+   that differ only in later fields (addresses, ports) or in their mask all
+   collide, and every find or remove then walks the chain with polymorphic
+   compares.  Hash the whole pattern and mask instead. *)
+module Signature_tbl = Hashtbl.Make (struct
+  type t = signature
+
+  let equal a b = compare a b = 0
+
+  let hash s =
+    let h = (Gf_flow.Vec.hash s.sig_pattern * 31) + Gf_flow.Vec.hash s.sig_mask in
+    let h = (h * 31) + (s.sig_tag_in * 7) + s.sig_priority in
+    (h * 31) + Hashtbl.hash (s.sig_commit, s.sig_next)
+end)
+
 let pp_next fmt = function
   | Next_tag tag -> Format.fprintf fmt "tag:=%d" tag
   | Done terminal -> Format.fprintf fmt "done(%a)" Action.pp_terminal terminal

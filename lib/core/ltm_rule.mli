@@ -40,4 +40,8 @@ val signature : t -> signature
 val same_rule : t -> t -> bool
 (** Signature equality. *)
 
+module Signature_tbl : Hashtbl.S with type key = signature
+(** Hash table keyed by signatures, hashing every field (the generic
+    [Hashtbl.hash] sees only a prefix of a signature). *)
+
 val pp : Format.formatter -> t -> unit

@@ -3,6 +3,7 @@ module Tss = Gf_classifier.Tss
 
 type stored = {
   rule : Ltm_rule.t;
+  signature : Ltm_rule.signature; (* of [rule], computed once at insert *)
   key : int;
   mutable last_used : float;
   mutable last_hit : float;
@@ -18,7 +19,7 @@ type t = {
   capacity : int;
   by_tag : (int, stored Tss.t) Hashtbl.t;
       (* exact match on the tag = one classifier per tag value *)
-  by_signature : (Ltm_rule.signature, stored) Hashtbl.t;
+  by_signature : stored Ltm_rule.Signature_tbl.t;
   by_key : (int, stored) Hashtbl.t;
   mutable next_key : int;
 }
@@ -28,7 +29,7 @@ let create ~capacity =
   {
     capacity;
     by_tag = Hashtbl.create 16;
-    by_signature = Hashtbl.create 64;
+    by_signature = Ltm_rule.Signature_tbl.create 64;
     by_key = Hashtbl.create 64;
     next_key = 0;
   }
@@ -44,13 +45,14 @@ let lookup t ~tag flow =
       let result, work = Tss.lookup classifier flow in
       ((match result with Some e -> Some e.Entry.payload | None -> None), max 1 work)
 
-let find_identical t rule = Hashtbl.find_opt t.by_signature (Ltm_rule.signature rule)
+let find_identical t signature = Ltm_rule.Signature_tbl.find_opt t.by_signature signature
 
 let insert t ~now rule =
   if is_full t then invalid_arg "Ltm_table.insert: table full";
   let key = t.next_key in
   t.next_key <- key + 1;
-  let stored = { rule; key; last_used = now; last_hit = now; shares = 1 } in
+  let signature = Ltm_rule.signature rule in
+  let stored = { rule; signature; key; last_used = now; last_hit = now; shares = 1 } in
   let classifier =
     match Hashtbl.find_opt t.by_tag rule.Ltm_rule.tag_in with
     | Some c -> c
@@ -61,7 +63,7 @@ let insert t ~now rule =
   in
   Tss.insert classifier
     (Entry.v ~key ~fmatch:rule.Ltm_rule.fmatch ~priority:rule.Ltm_rule.priority stored);
-  Hashtbl.replace t.by_signature (Ltm_rule.signature rule) stored;
+  Ltm_rule.Signature_tbl.replace t.by_signature signature stored;
   Hashtbl.replace t.by_key key stored;
   stored
 
@@ -70,7 +72,7 @@ let remove t stored =
   | None -> ()
   | Some s ->
       Hashtbl.remove t.by_key s.key;
-      Hashtbl.remove t.by_signature (Ltm_rule.signature s.rule);
+      Ltm_rule.Signature_tbl.remove t.by_signature s.signature;
       (match Hashtbl.find_opt t.by_tag s.rule.Ltm_rule.tag_in with
       | Some classifier -> ignore (Tss.remove classifier s.key)
       | None -> ())

@@ -8,6 +8,8 @@
 
 type stored = {
   rule : Ltm_rule.t;
+  signature : Ltm_rule.signature;
+      (** [Ltm_rule.signature rule], computed once at insert. *)
   key : int;  (** Unique within the table. *)
   mutable last_used : float;
   mutable last_hit : float;
@@ -34,8 +36,9 @@ val lookup : t -> tag:int -> Gf_flow.Flow.t -> stored option * int
 (** Longest-traversal match among entries with the given tag; ties go to the
     oldest entry (lowest key).  Returns the classifier work units. *)
 
-val find_identical : t -> Ltm_rule.t -> stored option
-(** Entry with the same behavioural signature, if present. *)
+val find_identical : t -> Ltm_rule.signature -> stored option
+(** Entry with this behavioural signature, if present.  Callers probing
+    several tables for one rule compute its signature once. *)
 
 val insert : t -> now:float -> Ltm_rule.t -> stored
 (** Raises [Invalid_argument] when full — callers plan placement first. *)

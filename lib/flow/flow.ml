@@ -26,28 +26,13 @@ let update t bindings =
       List.iter (fun (f, v) -> a.(Field.index f) <- truncate f v) bindings;
       a
 
-(* Monomorphic slot-by-slot comparison: both arrays have length
-   [Field.count] by invariant, and avoiding polymorphic [compare] keeps the
-   per-packet cache probes allocation- and call-free. *)
-let equal a b =
-  a == b
-  ||
-  let rec go i =
-    i >= Field.count
-    || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+(* Monomorphic and allocation-free: no polymorphic [compare] on the
+   per-packet cache probes. *)
+let equal = Vec.equal
 
 let compare = Stdlib.compare
 
-(* FNV-1a over the slots; cheap and good enough for hashtable keys.
-   Accumulator-passing loop: no ref cell, no closure, one final masking.
-   [unsafe_get] is fine — length = Field.count by invariant. *)
-let rec hash_loop t i h =
-  if i >= Field.count then h land max_int
-  else hash_loop t (i + 1) ((h lxor Array.unsafe_get t i) * 0x100000001b3)
-
-let hash t = hash_loop t 0 0x3bf29ce484222325
+let hash = Vec.hash
 
 let to_array t = Array.copy t
 

@@ -25,6 +25,9 @@ val update : t -> (Field.t * int) list -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+(** {!Vec.hash}: FNV-1a with an avalanche finalizer, so keys that differ
+    only in high bits (prefix-masked addresses) still spread over the low
+    bits that hash tables index by. *)
 
 val to_array : t -> int array
 (** Copy of the underlying 10-slot vector (index = [Field.index]). *)

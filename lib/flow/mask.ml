@@ -31,23 +31,13 @@ let inter a b = Array.init Field.count (fun i -> a.(i) land b.(i))
 
 (* Physical equality first: interned masks (see [intern]) make the common
    same-tuple comparison a single pointer check. *)
-let equal a b =
-  a == b
-  ||
-  let rec go i =
-    i >= Field.count
-    || (Int.equal (Array.unsafe_get a i) (Array.unsafe_get b i) && go (i + 1))
-  in
-  go 0
+let equal = Vec.equal
 
 let compare = Stdlib.compare
 
-(* Same accumulator-passing FNV-1a as [Flow.hash]. *)
-let rec hash_loop t i h =
-  if i >= Field.count then h land max_int
-  else hash_loop t (i + 1) ((h lxor Array.unsafe_get t i) * 0x100000001b3)
-
-let hash t = hash_loop t 0 0x3bf29ce484222325
+(* Same hash as [Flow.hash]: mask vectors are prefix-shaped too (high
+   bits set, low bits zero), so they need the finalizer as much as keys. *)
+let hash = Vec.hash
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

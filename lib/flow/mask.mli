@@ -38,6 +38,7 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 val hash : t -> int
+(** {!Vec.hash}, the same function as {!Flow.hash}. *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Hash table keyed by masks using {!hash}/{!equal} (monomorphic). *)

@@ -8,9 +8,12 @@ module Executor = Gf_pipeline.Executor
 module Pipeline = Gf_pipeline.Pipeline
 module Microflow = Gf_cache.Microflow
 module Megaflow = Gf_cache.Megaflow
+module Cuckoo = Gf_cache.Cuckoo
+module Evict = Gf_cache.Evict
 module Cache_stats = Gf_cache.Cache_stats
 
 let a_hit = { Microflow.terminal = Action.Output 1; out_flow = Flow.zero }
+let a_cuckoo_hit = { Cuckoo.terminal = Action.Output 1; out_flow = Flow.zero }
 let hit _cache = a_hit
 
 let test_microflow_basic () =
@@ -332,7 +335,7 @@ let prop_megaflow_any_match_correct =
         | Ok tr -> ignore (Megaflow.install cache ~now:0.0 ~version:0 tr)
         | Error _ -> ()
       done;
-      let entries = Megaflow.entries_fmatches cache in
+      let entries = List.map fst (Megaflow.entries cache) in
       let ok = ref true in
       for _ = 1 to 80 do
         let flow = pool_flow rng in
@@ -416,6 +419,108 @@ let test_megaflow_search_algos_agree () =
     | Some _, None | None, Some _ -> Alcotest.fail "tss/nm disagree on hit"
   done
 
+(* Sweep oracles.  [Cuckoo.expire] and [invalidate_all] walk a dense list
+   of live slots and [Megaflow.expire] folds over an occupancy-sized
+   index; both must remove exactly what a brute-force scan of every slot
+   (every entry) says is idle, under random install / lookup / sweep /
+   resize sequences, every eviction policy, tiny capacities and the 1M
+   software-tier default. *)
+let gen_sweep_case =
+  QCheck2.Gen.(
+    triple (int_range 0 100_000) (oneofl Evict.all)
+      (* 1M: the software tier's default capacity *)
+      (oneofl [ 1; 2; 3; 5; 8; 1_000_000 ]))
+
+(* Every resident with its last-used time, read slot by slot. *)
+let cuckoo_scan c =
+  let acc = ref [] in
+  for s = 0 to Cuckoo.slots c - 1 do
+    match Cuckoo.slot c s with Some r -> acc := r :: !acc | None -> ()
+  done;
+  List.sort compare !acc
+
+let prop_cuckoo_sweep_oracle =
+  QCheck2.Test.make ~name:"cuckoo sweeps match a full slot scan" ~count:40 gen_sweep_case
+    (fun (seed, policy, capacity) ->
+      let rng = Gf_util.Rng.create seed in
+      let c = Cuckoo.create ~policy ~capacity () in
+      (* The invariant check scans every slot: after each step on small
+         tables, only around sweeps on the 2M-slot one. *)
+      let small = Cuckoo.slots c <= 4096 in
+      let ok = ref true and now = ref 0.0 in
+      let check () = if not (Cuckoo.check_invariants c) then ok := false in
+      (* Keys differ only in the top bits of an address, plus a port. *)
+      let key () =
+        Flow.make
+          [
+            (Field.Ip_src, Gf_util.Rng.int rng 64 lsl 24);
+            (Field.Tp_dst, Gf_util.Rng.int rng 4);
+          ]
+      in
+      for _ = 1 to 150 do
+        now := !now +. float_of_int (Gf_util.Rng.int rng 3);
+        (match Gf_util.Rng.int rng 20 with
+        | 0 | 1 ->
+            let max_idle = float_of_int (Gf_util.Rng.int rng 12) in
+            check ();
+            let before = cuckoo_scan c in
+            let kept = List.filter (fun (_, lu) -> !now -. lu <= max_idle) before in
+            let n = Cuckoo.expire c ~now:!now ~max_idle in
+            if n <> List.length before - List.length kept || cuckoo_scan c <> kept then
+              ok := false;
+            check ()
+        | 2 ->
+            let before = cuckoo_scan c in
+            let n = Cuckoo.invalidate_all c in
+            if n <> List.length before || cuckoo_scan c <> [] then ok := false;
+            check ()
+        | 3 ->
+            Cuckoo.set_capacity c
+              (if Gf_util.Rng.bool rng then capacity else 1 + Gf_util.Rng.int rng 8)
+        | 4 | 5 | 6 | 7 | 8 | 9 | 10 -> ignore (Cuckoo.install c ~now:!now (key ()) a_cuckoo_hit)
+        | _ -> ignore (Cuckoo.lookup c ~now:!now (key ())));
+        if small then check ()
+      done;
+      check ();
+      !ok && Cuckoo.occupancy c = List.length (cuckoo_scan c))
+
+let megaflow_scan c = List.sort compare (Megaflow.entries c)
+
+let prop_megaflow_sweep_oracle =
+  QCheck2.Test.make ~name:"megaflow sweeps match a full entry scan" ~count:40
+    gen_sweep_case (fun (seed, policy, capacity) ->
+      let rng = Gf_util.Rng.create seed in
+      let p = random_pipeline rng ~tables:3 ~rules_per_table:10 in
+      let c = Megaflow.create ~policy ~capacity () in
+      let ok = ref true and now = ref 0.0 in
+      for i = 1 to 150 do
+        now := !now +. float_of_int (Gf_util.Rng.int rng 3);
+        (match Gf_util.Rng.int rng 20 with
+        | 0 | 1 ->
+            let max_idle = float_of_int (Gf_util.Rng.int rng 12) in
+            let before = megaflow_scan c in
+            let kept = List.filter (fun (_, lu) -> !now -. lu <= max_idle) before in
+            let n = Megaflow.expire c ~now:!now ~max_idle in
+            if n <> List.length before - List.length kept || megaflow_scan c <> kept then
+              ok := false
+        | 2 ->
+            let vlan_even f = Flow.get f Field.Vlan land 1 = 0 in
+            ignore (Megaflow.demote c ~is_hot:vlan_even)
+        | 3 ->
+            Megaflow.set_capacity c
+              (if Gf_util.Rng.bool rng then capacity else 1 + Gf_util.Rng.int rng 8)
+        | 4 | 5 | 6 | 7 | 8 | 9 | 10 -> (
+            match Executor.execute p (pool_flow rng) with
+            | Ok tr -> ignore (Megaflow.install c ~now:!now ~version:i tr)
+            | Error _ -> ())
+        | _ -> ignore (Megaflow.lookup c ~now:!now (pool_flow rng)));
+        if
+          (not (Megaflow.check_invariants c))
+          || Megaflow.occupancy c <> List.length (Megaflow.entries c)
+        then ok := false
+      done;
+      !ok)
+
 let suite =
   [
     ("microflow basic", `Quick, test_microflow_basic);
@@ -440,4 +545,6 @@ let props =
     prop_megaflow_invariants_under_churn;
     prop_megaflow_any_match_correct;
     prop_priority_aware_churn;
+    prop_cuckoo_sweep_oracle;
+    prop_megaflow_sweep_oracle;
   ]

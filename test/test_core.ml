@@ -207,10 +207,11 @@ let test_ltm_table_dedup () =
   let fm = Fmatch.of_fields [ (Field.Vlan, 2) ] in
   let rule = mk_rule ~next:(Ltm_rule.Done (Action.Output 1)) fm in
   ignore (Ltm_table.insert t ~now:0.0 rule);
-  Alcotest.(check bool) "identical found" true (Ltm_table.find_identical t rule <> None);
+  Alcotest.(check bool) "identical found" true
+    (Ltm_table.find_identical t (Ltm_rule.signature rule) <> None);
   let different = mk_rule ~next:(Ltm_rule.Done (Action.Output 2)) fm in
   Alcotest.(check bool) "different action not found" true
-    (Ltm_table.find_identical t different = None)
+    (Ltm_table.find_identical t (Ltm_rule.signature different) = None)
 
 let test_ltm_table_capacity () =
   let t = Ltm_table.create ~capacity:1 in

@@ -250,6 +250,53 @@ let test_mask_tbl_basic () =
     (Mask.Tbl.length tbl);
   Alcotest.(check (option int)) "replaced" (Some 3) (Mask.Tbl.find_opt tbl a)
 
+(* Hash spread on prefix-structured keys.  Power-of-two tables
+   ([Hashtbl.Make], the cuckoo buckets) index by [hash land (size - 1)], and
+   masked keys have their low bits zeroed, so a hash that does not carry
+   high input bits down to its low bits puts such keys in a handful of
+   buckets.  Each key set is twice the table size; a well-mixed hash fills
+   about 86% of the buckets, the bound asks for half. *)
+let buckets_used hash keys ~size =
+  let used = Array.make size false in
+  List.iter (fun k -> used.(hash k land (size - 1)) <- true) keys;
+  Array.fold_left (fun n u -> if u then n + 1 else n) 0 used
+
+let check_spread name hash keys =
+  let size = List.length keys / 2 in
+  let used = buckets_used hash keys ~size in
+  if 2 * used < size then
+    Alcotest.failf "%s: %d keys use %d of %d buckets" name (List.length keys) used size
+
+let test_flow_hash_spreads_prefixes () =
+  List.iter
+    (fun len ->
+      (* 256 addresses that differ only inside the /len prefix: every host
+         bit is zero. *)
+      let flows =
+        List.init 256 (fun i ->
+            Flow.make
+              [
+                (Field.Ip_src, i lsl (32 - len));
+                (Field.Ip_dst, Headers.ipv4 "10.0.0.0");
+                (Field.Ip_proto, Headers.proto_tcp);
+                (Field.Tp_dst, 80);
+              ])
+      in
+      check_spread (Printf.sprintf "flows within a /%d" len) Flow.hash flows)
+    [ 8; 16; 24 ]
+
+let test_mask_hash_spreads () =
+  (* 33 x 33 distinct source/destination prefix-length pairs. *)
+  let masks =
+    List.concat_map
+      (fun a ->
+        List.init 33 (fun b ->
+            Mask.union (Mask.prefix Field.Ip_src a) (Mask.prefix Field.Ip_dst b)))
+      (List.init 33 Fun.id)
+  in
+  (* 1,089 masks: round down to a power of two so the table is one. *)
+  check_spread "prefix masks" Mask.hash (List.filteri (fun i _ -> i < 1024) masks)
+
 let test_headers_ipv4 () =
   Alcotest.(check int) "parse" 0x0A000001 (Headers.ipv4 "10.0.0.1");
   Alcotest.(check string) "print" "10.0.0.1" (Headers.ipv4_to_string 0x0A000001);
@@ -288,6 +335,8 @@ let suite =
     ("fmatch prefix", `Quick, test_fmatch_prefix);
     ("flow update empty no copy", `Quick, test_flow_update_empty_no_copy);
     ("mask tbl basics", `Quick, test_mask_tbl_basic);
+    ("flow hash spreads prefix keys", `Quick, test_flow_hash_spreads_prefixes);
+    ("mask hash spreads prefix masks", `Quick, test_mask_hash_spreads);
     ("headers ipv4", `Quick, test_headers_ipv4);
     ("headers mac", `Quick, test_headers_mac);
     ("headers tcp", `Quick, test_headers_tcp);
