@@ -170,12 +170,14 @@ let install_traversal t ~now ~version traversal =
     end
   end;
   let partition_work =
-    match t.config.Config.scheme with
-    | Partitioner.Disjoint ->
-        (* The DP evaluates every (first, last) segment plus the O(N^2 K)
-           table fill; count the dominant term. *)
-        n * n * min budget n
-    | Partitioner.Random | Partitioner.One_to_one -> n
+    if whole then 0 (* one whole-traversal segment: no partitioner call *)
+    else
+      match t.config.Config.scheme with
+      | Partitioner.Disjoint ->
+          (* The DP evaluates every (first, last) segment plus the O(N^2 K)
+             table fill; count the dominant term. *)
+          n * n * min budget n
+      | Partitioner.Random | Partitioner.One_to_one -> n
   in
   { install; segments; partition_work; rulegen_work = List.length rules }
 

@@ -10,8 +10,10 @@ type slowpath_work = {
   pipeline_lookups : int;  (** Tables traversed in the slowpath. *)
   tuple_probes : int;  (** TSS tuples probed across those lookups. *)
   partition_work : int;
-      (** Segment-score evaluations performed by the partitioner (the
-          O(N^2 K) DP loop count; 0 for schemes without search). *)
+      (** Segment-score evaluations performed by the partitioner: the
+          paper's O(N^2 K) DP loop count for [Disjoint], N for the schemes
+          without search, and 0 for an adaptive-fallback install, which
+          takes the whole traversal as one segment without partitioning. *)
   rulegen_work : int;  (** Rules generated (each O(#fields)). *)
 }
 

@@ -188,7 +188,8 @@ let plan_ex t rules =
           in
           let rec find_free p =
             if p > max_pos then None
-            else if not (Ltm_table.is_full t.tables.(p)) then Some (p, `Fresh rule)
+            else if not (Ltm_table.is_full t.tables.(p)) then
+              Some (p, `Fresh (rule, signature))
             else find_free (p + 1)
           in
           match
@@ -301,8 +302,8 @@ let install t ~now rules =
               stored.Ltm_table.last_used <- now;
               stored.Ltm_table.last_hit <- now;
               incr shared
-          | `Fresh rule ->
-              ignore (Ltm_table.insert t.tables.(p) ~now rule);
+          | `Fresh (rule, signature) ->
+              ignore (Ltm_table.insert t.tables.(p) ~now ~signature rule);
               incr fresh)
         placements;
       t.stats.Cache_stats.installs <- t.stats.Cache_stats.installs + !fresh;

@@ -15,6 +15,7 @@ type t = {
 }
 
 type signature = {
+  sig_hash : int;
   sig_tag_in : int;
   sig_pattern : int array;
   sig_mask : int array;
@@ -23,35 +24,37 @@ type signature = {
   sig_next : next;
 }
 
+(* The generic [Hashtbl.hash] stops after ten meaningful words, which for a
+   signature are the tag, the priority and the first pattern slots: rules
+   that differ only in later fields (addresses, ports) or in their mask all
+   collide, and every find or remove then walks the chain with polymorphic
+   compares.  Hash the whole pattern and mask instead, once, when the
+   signature is built. *)
 let signature t =
+  let sig_pattern = Gf_flow.Flow.to_array (Fmatch.pattern t.fmatch) in
+  let sig_mask =
+    Array.map (fun f -> Gf_flow.Mask.get (Fmatch.mask t.fmatch) f) Gf_flow.Field.all
+  in
+  let sig_commit = List.map (fun (f, v) -> (Gf_flow.Field.index f, v)) t.commit in
+  let h = (Gf_flow.Vec.hash sig_pattern * 31) + Gf_flow.Vec.hash sig_mask in
+  let h = (h * 31) + (t.tag_in * 7) + t.priority in
   {
+    sig_hash = (h * 31) + Hashtbl.hash (sig_commit, t.next);
     sig_tag_in = t.tag_in;
-    sig_pattern = Gf_flow.Flow.to_array (Fmatch.pattern t.fmatch);
-    sig_mask =
-      Array.map
-        (fun f -> Gf_flow.Mask.get (Fmatch.mask t.fmatch) f)
-        Gf_flow.Field.all;
+    sig_pattern;
+    sig_mask;
     sig_priority = t.priority;
-    sig_commit = List.map (fun (f, v) -> (Gf_flow.Field.index f, v)) t.commit;
+    sig_commit;
     sig_next = t.next;
   }
 
 let same_rule a b = signature a = signature b
 
-(* The generic [Hashtbl.hash] stops after ten meaningful words, which for a
-   signature are the tag, the priority and the first pattern slots: rules
-   that differ only in later fields (addresses, ports) or in their mask all
-   collide, and every find or remove then walks the chain with polymorphic
-   compares.  Hash the whole pattern and mask instead. *)
 module Signature_tbl = Hashtbl.Make (struct
   type t = signature
 
   let equal a b = compare a b = 0
-
-  let hash s =
-    let h = (Gf_flow.Vec.hash s.sig_pattern * 31) + Gf_flow.Vec.hash s.sig_mask in
-    let h = (h * 31) + (s.sig_tag_in * 7) + s.sig_priority in
-    (h * 31) + Hashtbl.hash (s.sig_commit, s.sig_next)
+  let hash s = s.sig_hash
 end)
 
 let pp_next fmt = function

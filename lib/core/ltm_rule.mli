@@ -41,7 +41,8 @@ val same_rule : t -> t -> bool
 (** Signature equality. *)
 
 module Signature_tbl : Hashtbl.S with type key = signature
-(** Hash table keyed by signatures, hashing every field (the generic
-    [Hashtbl.hash] sees only a prefix of a signature). *)
+(** Hash table keyed by signatures.  The hash covers every field (the
+    generic [Hashtbl.hash] sees only a prefix of a signature) and is
+    computed once by {!signature}, so hashing is a field read. *)
 
 val pp : Format.formatter -> t -> unit

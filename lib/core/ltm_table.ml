@@ -3,7 +3,7 @@ module Tss = Gf_classifier.Tss
 
 type stored = {
   rule : Ltm_rule.t;
-  signature : Ltm_rule.signature; (* of [rule], computed once at insert *)
+  signature : Ltm_rule.signature; (* of [rule], computed once by the planner *)
   key : int;
   mutable last_used : float;
   mutable last_hit : float;
@@ -47,11 +47,10 @@ let lookup t ~tag flow =
 
 let find_identical t signature = Ltm_rule.Signature_tbl.find_opt t.by_signature signature
 
-let insert t ~now rule =
+let insert t ~now ~signature rule =
   if is_full t then invalid_arg "Ltm_table.insert: table full";
   let key = t.next_key in
   t.next_key <- key + 1;
-  let signature = Ltm_rule.signature rule in
   let stored = { rule; signature; key; last_used = now; last_hit = now; shares = 1 } in
   let classifier =
     match Hashtbl.find_opt t.by_tag rule.Ltm_rule.tag_in with

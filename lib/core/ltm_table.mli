@@ -9,7 +9,7 @@
 type stored = {
   rule : Ltm_rule.t;
   signature : Ltm_rule.signature;
-      (** [Ltm_rule.signature rule], computed once at insert. *)
+      (** [Ltm_rule.signature rule], as passed to {!insert}. *)
   key : int;  (** Unique within the table. *)
   mutable last_used : float;
   mutable last_hit : float;
@@ -40,8 +40,10 @@ val find_identical : t -> Ltm_rule.signature -> stored option
 (** Entry with this behavioural signature, if present.  Callers probing
     several tables for one rule compute its signature once. *)
 
-val insert : t -> now:float -> Ltm_rule.t -> stored
-(** Raises [Invalid_argument] when full — callers plan placement first. *)
+val insert : t -> now:float -> signature:Ltm_rule.signature -> Ltm_rule.t -> stored
+(** [signature] must be [Ltm_rule.signature rule]: the planner has already
+    computed it to probe {!find_identical}, so it is not built twice.
+    Raises [Invalid_argument] when full — callers plan placement first. *)
 
 val remove : t -> stored -> unit
 

@@ -54,7 +54,12 @@ val partition :
 (** Cut the traversal into 1..max_segments contiguous segments covering all
     steps.  [max_segments] must be >= 1.  [rng] is required for [Random].
     For [Disjoint] the result maximises score, then minimises penalty, then
-    segment count.  O(N^2 K) dynamic program (N <= 256). *)
+    segment count.  Cost: O(N^2 F) integer operations to build the segment
+    tables (F = [Field.count]), each start step extending its segment one
+    step at a time, plus the O(N^2 K) dynamic program over flat int arrays.
+    A handful of flat allocations per call and none per (first, last)
+    pair.  This is host cost only: the modelled slowpath charge stays the
+    paper's N^2 min(K, N) (see {!Gigaflow.slowpath_work}). *)
 
 val brute_force_best : Gf_pipeline.Traversal.t -> max_segments:int -> int * int * int
 (** Exhaustive search over all partitions: the lexicographically best

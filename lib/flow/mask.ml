@@ -74,6 +74,22 @@ let fields t =
   Array.iteri (fun i v -> if v <> 0 then s := Field.Set.add (Field.of_index i) !s) t;
   !s
 
+let field_bits t =
+  let b = ref 0 in
+  for i = 0 to Field.count - 1 do
+    if t.(i) <> 0 then b := !b lor (1 lsl i)
+  done;
+  !b
+
+let union_into acc t ~except =
+  for i = 0 to Field.count - 1 do
+    if except land (1 lsl i) = 0 then acc.(i) <- acc.(i) lor t.(i)
+  done
+
+let of_acc acc =
+  assert (Array.length acc = Field.count);
+  acc
+
 let disjoint a b =
   let rec go i = i >= Field.count || ((a.(i) = 0 || b.(i) = 0) && go (i + 1)) in
   go 0

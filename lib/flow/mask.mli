@@ -59,6 +59,20 @@ val bits : t -> int
 val fields : t -> Field.Set.t
 (** Fields with at least one significant bit. *)
 
+val field_bits : t -> int
+(** {!fields} as a bitset: bit [Field.index f] is set iff field [f] has a
+    significant bit.  Allocation-free. *)
+
+val union_into : int array -> t -> except:int -> unit
+(** [union_into acc m ~except] ORs [m] into the [Field.count]-slot
+    accumulator [acc] in place, skipping every field whose bit
+    [Field.index f] is set in [except].  One step of re-basing a segment's
+    wildcard past the fields its earlier actions overwrote. *)
+
+val of_acc : int array -> t
+(** The accumulator as a mask, without a copy: the caller hands the array
+    over and must not write to it afterwards. *)
+
 val disjoint : t -> t -> bool
 (** No field has significant bits in both masks. *)
 

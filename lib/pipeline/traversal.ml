@@ -28,26 +28,26 @@ let path_signature t =
 
 let step_fields s = Mask.fields s.wildcard
 
+let set_field_bits s =
+  List.fold_left
+    (fun b (f, _) -> b lor (1 lsl Field.index f))
+    0 s.action.Action.set_fields
+
 (* Re-base consulted wildcards onto the flow entering step [first]: a bit of
    field [f] consulted at step [k] constrains the segment-entry flow only if
    no action in steps [first..k-1] overwrote [f].  Fields are overwritten
    atomically (set-field replaces the whole field), so per-field tracking is
-   exact. *)
+   exact.  One accumulator per segment, no per-step copy. *)
 let wildcard_of_steps steps ~first ~last =
   assert (first >= 0 && last < Array.length steps && first <= last);
-  let overwritten = ref Field.Set.empty in
-  let acc = ref Mask.empty in
+  let acc = Array.make Field.count 0 in
+  let overwritten = ref 0 in
   for k = first to last do
     let s = steps.(k) in
-    let effective =
-      Field.Set.fold (fun f m -> Mask.set m f 0) !overwritten s.wildcard
-    in
-    acc := Mask.union !acc effective;
-    List.iter
-      (fun (f, _) -> overwritten := Field.Set.add f !overwritten)
-      s.action.Action.set_fields
+    Mask.union_into acc s.wildcard ~except:!overwritten;
+    overwritten := !overwritten lor set_field_bits s
   done;
-  !acc
+  Mask.of_acc acc
 
 let segment_wildcard t ~first ~last = wildcard_of_steps t.steps ~first ~last
 

@@ -40,6 +40,9 @@ val path_signature : t -> string
 val step_fields : step -> Gf_flow.Field.Set.t
 (** Fields with at least one consulted bit in this step. *)
 
+val set_field_bits : step -> int
+(** Fields the step's action overwrites, as a bitset over [Field.index]. *)
+
 val megaflow_wildcard : t -> Gf_flow.Mask.t
 (** The union of all step wildcards re-based onto the input flow: bits of a
     field consulted after the field was overwritten by an earlier action do

@@ -9,7 +9,8 @@ val prefix_mask : width:int -> int -> int
     [prefix_mask ~width:32 24 = 0xFFFFFF00]. *)
 
 val popcount : int -> int
-(** Number of set bits. *)
+(** Number of set bits of the 63-bit two's-complement representation
+    (so [popcount (-1) = 63]).  Word-parallel: constant time, no loop. *)
 
 val is_subset : sub:int -> super:int -> bool
 (** [is_subset ~sub ~super] iff every bit of [sub] is set in [super]. *)

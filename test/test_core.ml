@@ -103,6 +103,88 @@ let prop_partition_optimal =
           let bscore, bpenalty, bsegs = Partitioner.brute_force_best tr ~max_segments:k in
           score = bscore && penalty = bpenalty && List.length segments = bsegs)
 
+(* [random_pipeline] with some middle tables emptied: a traversal through
+   an emptied table whose miss is a goto takes a default hop that consults
+   no field.  The rules left carry set-field actions. *)
+let pipeline_with_default_hops rng =
+  let tables = 7 in
+  let p = random_pipeline rng ~tables ~rules_per_table:6 in
+  for table = 1 to tables - 2 do
+    if Gf_util.Rng.bernoulli rng 0.3 then
+      List.iter
+        (fun r -> ignore (Pipeline.remove_rule p ~table r.Gf_pipeline.Ofrule.id))
+        (Gf_pipeline.Oftable.rules (Pipeline.table p table))
+  done;
+  p
+
+(* The DP reads per-segment tables; "DP matches brute force" reads the same
+   tables on both sides, so the tables are checked here against their
+   definition: [coherent] for the score, the re-based wildcard's bit count
+   for the penalty. *)
+let prop_tables_match_definition =
+  QCheck2.Test.make ~name:"segment tables match coherent + wildcard bits" ~count:200
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let p = pipeline_with_default_hops rng in
+      match run_traversal rng p with
+      | None -> true
+      | Some tr ->
+          let fieldsets = Partitioner.step_fieldsets tr in
+          let n = Traversal.length tr in
+          let ok = ref true in
+          for first = 0 to n - 1 do
+            for last = first to n - 1 do
+              let expected =
+                if Partitioner.coherent fieldsets ~first ~last then (last - first + 1, 0)
+                else (0, Mask.bits (Traversal.segment_wildcard tr ~first ~last))
+              in
+              if Partitioner.evaluate tr [ { Partitioner.first; last } ] <> expected then
+                ok := false
+            done
+          done;
+          !ok)
+
+(* Golden: the segments [partition] returns at K = 4 for every slowpath
+   traversal of a small fixed-seed PSC run.  Any change to the partition
+   result moves the digest. *)
+let test_partition_golden_psc () =
+  let profile =
+    {
+      Gf_workload.Classbench.acl_profile with
+      Gf_workload.Classbench.endpoints = 128;
+      subnets = 16;
+      services = 32;
+    }
+  in
+  let w =
+    Gf_workload.Pipebench.make ~profile ~combos:512 ~unique_flows:2000 ~duration:20.0
+      ~info:(Option.get (Gf_pipelines.Catalog.find "PSC"))
+      ~locality:Gf_workload.Ruleset.High ~seed:77 ()
+  in
+  let p = Gf_workload.Pipebench.pipeline w in
+  let gf = Gigaflow.create (Config.v ~tables:4 ()) in
+  let buf = Buffer.create 65536 in
+  let misses = ref 0 in
+  Array.iter
+    (fun (pkt : Gf_workload.Trace.packet) ->
+      let now = pkt.Gf_workload.Trace.time and flow = pkt.Gf_workload.Trace.flow in
+      match Gigaflow.lookup gf ~now ~pipeline:p flow with
+      | Some _, _ -> ()
+      | None, _ -> (
+          match Gigaflow.handle_miss gf ~now ~pipeline:p flow with
+          | Error _ -> Buffer.add_string buf "error;"
+          | Ok o ->
+              incr misses;
+              List.iter
+                (fun s -> Printf.bprintf buf "%d-%d," s.Partitioner.first s.Partitioner.last)
+                (Partitioner.partition Partitioner.Disjoint ~max_segments:4 o.Gigaflow.traversal);
+              Buffer.add_char buf ';'))
+    w.Gf_workload.Pipebench.trace.Gf_workload.Trace.packets;
+  Alcotest.(check int) "slowpath traversals" 390 !misses;
+  Alcotest.(check string) "segments digest" "31d1a3cd05e9920704bea3133eea72a5"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_one_to_one_shape () =
   let rng = Gf_util.Rng.create 31 in
   let p = random_pipeline rng ~tables:5 ~rules_per_table:8 in
@@ -174,10 +256,13 @@ let mk_rule ?(tag_in = 0) ?(priority = 1) ?(commit = []) ~next fm =
     origin = { Ltm_rule.parent_flow = Flow.zero; length = priority; version = 0 };
   }
 
+let insert_rule t rule =
+  Ltm_table.insert t ~now:0.0 ~signature:(Ltm_rule.signature rule) rule
+
 let test_ltm_table_tag_gating () =
   let t = Ltm_table.create ~capacity:8 in
   let fm = Fmatch.of_fields [ (Field.Vlan, 1) ] in
-  ignore (Ltm_table.insert t ~now:0.0 (mk_rule ~tag_in:3 ~next:(Ltm_rule.Done Action.Drop) fm));
+  ignore (insert_rule t (mk_rule ~tag_in:3 ~next:(Ltm_rule.Done Action.Drop) fm));
   let flow = Flow.make [ (Field.Vlan, 1) ] in
   Alcotest.(check bool) "matching tag hits" true
     (fst (Ltm_table.lookup t ~tag:3 flow) <> None);
@@ -191,10 +276,10 @@ let test_ltm_table_longest_traversal_match () =
   let fm_short = Fmatch.of_fields [ (Field.Vlan, 1) ] in
   let fm_long = Fmatch.of_fields [ (Field.Vlan, 1); (Field.Ip_dst, 0xA) ] in
   ignore
-    (Ltm_table.insert t ~now:0.0
+    (insert_rule t
        (mk_rule ~priority:2 ~next:(Ltm_rule.Next_tag 9) fm_short));
   ignore
-    (Ltm_table.insert t ~now:0.0
+    (insert_rule t
        (mk_rule ~priority:4 ~next:(Ltm_rule.Next_tag 11) fm_long));
   let flow = Flow.make [ (Field.Vlan, 1); (Field.Ip_dst, 0xA) ] in
   match fst (Ltm_table.lookup t ~tag:0 flow) with
@@ -206,9 +291,14 @@ let test_ltm_table_dedup () =
   let t = Ltm_table.create ~capacity:8 in
   let fm = Fmatch.of_fields [ (Field.Vlan, 2) ] in
   let rule = mk_rule ~next:(Ltm_rule.Done (Action.Output 1)) fm in
-  ignore (Ltm_table.insert t ~now:0.0 rule);
+  let signature = Ltm_rule.signature rule in
+  ignore (Ltm_table.insert t ~now:0.0 ~signature rule);
   Alcotest.(check bool) "identical found" true
-    (Ltm_table.find_identical t (Ltm_rule.signature rule) <> None);
+    (Ltm_table.find_identical t signature <> None);
+  Alcotest.(check bool) "equal rule's signature found" true
+    (Ltm_table.find_identical t
+       (Ltm_rule.signature (mk_rule ~next:(Ltm_rule.Done (Action.Output 1)) fm))
+    <> None);
   let different = mk_rule ~next:(Ltm_rule.Done (Action.Output 2)) fm in
   Alcotest.(check bool) "different action not found" true
     (Ltm_table.find_identical t (Ltm_rule.signature different) = None)
@@ -216,13 +306,13 @@ let test_ltm_table_dedup () =
 let test_ltm_table_capacity () =
   let t = Ltm_table.create ~capacity:1 in
   ignore
-    (Ltm_table.insert t ~now:0.0
+    (insert_rule t
        (mk_rule ~next:(Ltm_rule.Done Action.Drop) (Fmatch.of_fields [ (Field.Vlan, 1) ])));
   Alcotest.(check bool) "full" true (Ltm_table.is_full t);
   Alcotest.check_raises "insert into full" (Invalid_argument "Ltm_table.insert: table full")
     (fun () ->
       ignore
-        (Ltm_table.insert t ~now:0.0
+        (insert_rule t
            (mk_rule ~next:(Ltm_rule.Done Action.Drop)
               (Fmatch.of_fields [ (Field.Vlan, 9) ]))))
 
@@ -757,24 +847,16 @@ let test_partitioner_respects_budget () =
 
 (* ------------------------- Adaptive fallback ------------------------ *)
 
-let test_adaptive_fallback_engages () =
-  (* A pipeline whose traversals never share sub-traversals: every flow
-     matches a unique exact rule in each table.  The profile monitor must
-     flip to whole-traversal (single-segment) installs. *)
-  let mk_table id next =
-    let t =
-      Gf_pipeline.Oftable.create ~id ~name:(Printf.sprintf "t%d" id)
-        ~match_fields:(Field.Set.of_list [ Field.Ip_src; Field.Tp_src ])
-        ~miss:(Action.drop ())
-    in
-    ignore next;
-    t
+(* A pipeline whose traversals never share sub-traversals: every flow
+   matches a unique exact rule in each of its two tables (on disjoint
+   fields), and the flows that install them. *)
+let no_sharing_workload () =
+  let mk_table id =
+    Gf_pipeline.Oftable.create ~id ~name:(Printf.sprintf "t%d" id)
+      ~match_fields:(Field.Set.of_list [ Field.Ip_src; Field.Tp_src ])
+      ~miss:(Action.drop ())
   in
-  let t0 = mk_table 0 1 and t1 = mk_table 1 (-1) in
-  let p = Pipeline.create ~name:"nosharing" ~entry:0 [ t0; t1 ] in
-  let rng = Gf_util.Rng.create 91 in
-  (* Unique exact rules per flow, installed on demand via the slowpath:
-     emulate by pre-installing per-flow chains. *)
+  let p = Pipeline.create ~name:"nosharing" ~entry:0 [ mk_table 0; mk_table 1 ] in
   let flows =
     Array.init 3000 (fun i ->
         Flow.make [ (Field.Ip_src, 0x0A000000 + i); (Field.Tp_src, i land 0xFFFF) ])
@@ -794,7 +876,12 @@ let test_adaptive_fallback_engages () =
              ~action:(Action.output 1))
       with Invalid_argument _ -> ())
     flows;
-  ignore rng;
+  (p, flows)
+
+let test_adaptive_fallback_engages () =
+  (* With no sharing at all, the profile monitor must flip to
+     whole-traversal (single-segment) installs. *)
+  let p, flows = no_sharing_workload () in
   let gf =
     Gigaflow.create
       (Config.v ~tables:2 ~table_capacity:65536 ~adaptive:true ~adaptive_threshold:0.15 ())
@@ -802,6 +889,40 @@ let test_adaptive_fallback_engages () =
   Array.iter (fun flow -> ignore (Gigaflow.handle_miss gf ~now:0.0 ~pipeline:p flow)) flows;
   Alcotest.(check bool) "fallback engaged under zero sharing" true
     (Gigaflow.in_fallback gf)
+
+let test_adaptive_fallback_partition_work () =
+  (* A fallback install takes the whole traversal as one segment without
+     calling the partitioner, so it is charged no partition work.  Every
+     8th miss (the probe period; the 1,024-miss window is a multiple of
+     it) is a probe and still partitions, charged the paper's
+     n^2 min(K, n). *)
+  let p, flows = no_sharing_workload () in
+  let k = 2 in
+  let gf =
+    Gigaflow.create
+      (Config.v ~tables:k ~table_capacity:65536 ~adaptive:true ~adaptive_threshold:0.15 ())
+  in
+  let whole = ref 0 and probes = ref 0 in
+  Array.iteri
+    (fun i flow ->
+      let fallback = Gigaflow.in_fallback gf in
+      match Gigaflow.handle_miss gf ~now:0.0 ~pipeline:p flow with
+      | Error _ -> Alcotest.fail "slowpath error"
+      | Ok o ->
+          let n = Traversal.length o.Gigaflow.traversal in
+          let work = o.Gigaflow.work.Gigaflow.partition_work in
+          if fallback && i mod 8 <> 0 then begin
+            incr whole;
+            Alcotest.(check int) "whole-traversal segment" 1 (List.length o.Gigaflow.segments);
+            Alcotest.(check int) "fallback install: no partition work" 0 work
+          end
+          else begin
+            if fallback then incr probes;
+            Alcotest.(check int) "partitioned install: n^2 min(K, n)" (n * n * min k n) work
+          end)
+    flows;
+  Alcotest.(check bool) "fallback installs seen" true (!whole > 0);
+  Alcotest.(check bool) "probe installs seen in fallback" true (!probes > 0)
 
 let test_adaptive_stays_off_with_sharing () =
   let rng = Gf_util.Rng.create 92 in
@@ -902,7 +1023,9 @@ let suite =
     ("ltm placement ordering", `Quick, test_ltm_placement_ordering);
     ("ltm eviction breaks chains safely", `Quick, test_ltm_eviction_breaks_chain_safely);
     ("partitioner respects budget", `Quick, test_partitioner_respects_budget);
+    ("partition golden (PSC, K=4)", `Quick, test_partition_golden_psc);
     ("adaptive fallback engages", `Quick, test_adaptive_fallback_engages);
+    ("adaptive fallback partition work", `Quick, test_adaptive_fallback_partition_work);
     ("adaptive stays off with sharing", `Quick, test_adaptive_stays_off_with_sharing);
     ("adaptive hits stay consistent", `Quick, test_adaptive_consistency);
     ("full unwildcarding still sound", `Quick, test_full_unwildcarding_still_sound);
@@ -914,6 +1037,7 @@ let props =
   [
     prop_partition_valid;
     prop_partition_optimal;
+    prop_tables_match_definition;
     prop_gigaflow_consistent_dp;
     prop_gigaflow_consistent_rnd;
     prop_gigaflow_consistent_1to1;

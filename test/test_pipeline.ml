@@ -281,6 +281,51 @@ let test_traversal_rebasing () =
       Alcotest.(check bool) "commit contains rewrite" true
         (List.mem (Field.Tp_dst, 8080) commit)
 
+(* Reference re-basing by the mask algebra: clear the overwritten fields of
+   each step's wildcard with [Mask.set], then [Mask.union] it in.
+   [wildcard_of_steps] must agree while accumulating into one array. *)
+let reference_wildcard steps ~first ~last =
+  let overwritten = ref Field.Set.empty in
+  let acc = ref Mask.empty in
+  for k = first to last do
+    let s = steps.(k) in
+    let effective =
+      Field.Set.fold (fun f m -> Mask.set m f 0) !overwritten s.Traversal.wildcard
+    in
+    acc := Mask.union !acc effective;
+    List.iter
+      (fun (f, _) -> overwritten := Field.Set.add f !overwritten)
+      s.Traversal.action.Action.set_fields
+  done;
+  !acc
+
+let prop_wildcard_of_steps_reference =
+  QCheck2.Test.make ~name:"wildcard_of_steps = fold over Mask.set/union" ~count:150
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let p = random_pipeline rng ~tables:6 ~rules_per_table:8 in
+      List.for_all
+        (fun _ ->
+          match Executor.execute p (pool_flow rng) with
+          | Error _ -> true
+          | Ok tr ->
+              let steps = tr.Traversal.steps in
+              let n = Array.length steps in
+              let ok = ref true in
+              for first = 0 to n - 1 do
+                for last = first to n - 1 do
+                  if
+                    not
+                      (Mask.equal
+                         (Traversal.wildcard_of_steps steps ~first ~last)
+                         (reference_wildcard steps ~first ~last))
+                  then ok := false
+                done
+              done;
+              !ok)
+        (List.init 8 Fun.id))
+
 let test_traversal_commit_composition () =
   (* Last writer wins; rewrites to the incumbent value are preserved. *)
   let mk_chain =
@@ -432,4 +477,5 @@ let suite =
     ("builder miss chain", `Quick, test_builder_instantiate_miss_chain);
   ]
 
-let props = [ prop_unwildcard_sound; prop_unwildcard_nested_prefixes ]
+let props =
+  [ prop_unwildcard_sound; prop_unwildcard_nested_prefixes; prop_wildcard_of_steps_reference ]

@@ -301,6 +301,24 @@ let test_bitops () =
   Alcotest.(check bool) "subset yes" true (Bitops.is_subset ~sub:0b101 ~super:0b111);
   Alcotest.(check bool) "subset no" false (Bitops.is_subset ~sub:0b1000 ~super:0b111)
 
+(* The word-parallel popcount against one shift per bit, over the whole
+   int range: the sign bit, [min_int] and [max_int] included. *)
+let prop_popcount_reference =
+  let reference n =
+    let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
+    go n 0
+  in
+  QCheck2.Test.make ~name:"popcount = bit-loop reference" ~count:2000
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, oneofl [ 0; 1; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
+          (4, int);
+          (2, map (fun k -> 1 lsl k) (int_range 0 62));
+          (2, int_range (-1000) 1000);
+        ])
+    (fun n -> Bitops.popcount n = reference n)
+
 let test_json_roundtrip () =
   let v =
     Json.Obj
@@ -384,3 +402,5 @@ let suite =
     ("json parse errors", `Quick, test_json_parse_errors);
     ("json accessors", `Quick, test_json_accessors);
   ]
+
+let props = [ prop_popcount_reference ]
