@@ -1,6 +1,6 @@
-module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 
 (* Tuples are threaded onto an intrusive doubly-linked list ([rank_prev] /
    [rank_next]) holding the hit-frequency order used by [lookup_first]:
@@ -9,7 +9,7 @@ module Fmatch = Gf_flow.Fmatch
    ([List.filter]). *)
 type 'a tuple = {
   mask : Mask.t;
-  buckets : 'a Entry.t list Flow.Tbl.t; (* best-first lists *)
+  buckets : 'a Entry.t Masked_tbl.t; (* best-first buckets *)
   mutable max_priority : int;
       (* an upper bound while [max_stale]; exact otherwise *)
   mutable max_stale : bool;
@@ -28,7 +28,6 @@ type 'a t = {
   mutable rank_head : 'a tuple option; (* hit-frequency order (first-match mode) *)
   mutable rank_tail : 'a tuple option;
   mutable dirty : bool;
-  scratch : Flow.Scratch.t; (* transient masked-key buffer for lookups *)
 }
 
 let algorithm = "tss"
@@ -41,7 +40,6 @@ let create () =
     rank_head = None;
     rank_tail = None;
     dirty = false;
-    scratch = Flow.Scratch.create ();
   }
 
 let rank_append t tu =
@@ -87,7 +85,7 @@ let insert t entry =
         let tu =
           {
             mask;
-            buckets = Flow.Tbl.create 32;
+            buckets = Masked_tbl.create mask;
             max_priority = min_int;
             max_stale = false;
             count = 0;
@@ -100,22 +98,18 @@ let insert t entry =
         tu
   in
   let key = Fmatch.pattern entry.Entry.fmatch in
-  let existing = Option.value ~default:[] (Flow.Tbl.find_opt tuple.buckets key) in
-  Flow.Tbl.replace tuple.buckets key (List.sort entry_order (entry :: existing));
+  Masked_tbl.replace tuple.buckets key
+    (List.sort entry_order (entry :: Masked_tbl.find tuple.buckets key));
   tuple.count <- tuple.count + 1;
   if entry.Entry.priority > tuple.max_priority then tuple.max_priority <- entry.Entry.priority;
   t.dirty <- true
 
 (* Bucket lists are best-first, so each bucket's head holds its maximum. *)
 let recompute_max tuple =
-  let m = ref min_int in
-  Flow.Tbl.iter
-    (fun _ entries ->
-      match entries with
-      | (e : 'a Entry.t) :: _ -> if e.priority > !m then m := e.priority
-      | [] -> ())
-    tuple.buckets;
-  tuple.max_priority <- !m;
+  tuple.max_priority <-
+    Masked_tbl.fold
+      (fun entries m -> Int.max (List.hd entries : 'a Entry.t).priority m)
+      tuple.buckets min_int;
   tuple.max_stale <- false
 
 let remove t key =
@@ -128,12 +122,10 @@ let remove t key =
       | None -> ()
       | Some tuple ->
           let bucket_key = Fmatch.pattern entry.Entry.fmatch in
-          (match Flow.Tbl.find_opt tuple.buckets bucket_key with
-          | None -> ()
-          | Some entries ->
-              let remaining = List.filter (fun (e : 'a Entry.t) -> e.key <> key) entries in
-              if remaining = [] then Flow.Tbl.remove tuple.buckets bucket_key
-              else Flow.Tbl.replace tuple.buckets bucket_key remaining);
+          Masked_tbl.replace tuple.buckets bucket_key
+            (List.filter
+               (fun (e : 'a Entry.t) -> e.key <> key)
+               (Masked_tbl.find tuple.buckets bucket_key));
           tuple.count <- tuple.count - 1;
           if tuple.count <= 0 then begin
             Mask.Tbl.remove t.tuples mask;
@@ -145,6 +137,12 @@ let remove t key =
 
 let size t = Hashtbl.length t.by_key
 
+(* Decreasing max priority; ties in mask order, so the probe order is a
+   function of the stored entries and not of [Mask.Tbl]'s hash order. *)
+let tuple_order a b =
+  let c = Int.compare b.max_priority a.max_priority in
+  if c <> 0 then c else Mask.compare a.mask b.mask
+
 let ensure t =
   if t.dirty then begin
     t.ordered <-
@@ -153,55 +151,48 @@ let ensure t =
           if tu.max_stale then recompute_max tu;
           tu :: acc)
         t.tuples []
-      |> List.sort (fun a b -> compare b.max_priority a.max_priority);
+      |> List.sort tuple_order;
     t.dirty <- false
   end
 
+(* Probe tuples best-first until the winner strictly out-prioritises every
+   remaining tuple.  [best] is rebuilt only when the winner changes. *)
+let rec lookup_from tuples best probes flow =
+  match tuples with
+  | [] -> (best, probes)
+  | tuple :: rest -> (
+      match best with
+      | Some (b : 'a Entry.t) when b.priority > tuple.max_priority -> (best, probes)
+      | _ -> (
+          let probes = probes + 1 in
+          match Masked_tbl.find tuple.buckets flow with
+          | c :: _ -> (
+              match best with
+              | Some b when not (Entry.better c b) -> lookup_from rest best probes flow
+              | _ -> lookup_from rest (Some c) probes flow)
+          | [] -> lookup_from rest best probes flow))
+
 let lookup t flow =
   ensure t;
-  let rec go tuples best probes =
-    match tuples with
-    | [] -> (best, probes)
-    | tuple :: rest -> (
-        match best with
-        | Some (b : 'a Entry.t) when b.priority > tuple.max_priority -> (best, probes)
-        | _ ->
-            let probes = probes + 1 in
-            let key = Mask.apply_scratch tuple.mask flow t.scratch in
-            let candidate =
-              match Flow.Tbl.find_opt tuple.buckets key with
-              | Some (e :: _) -> Some e
-              | Some [] | None -> None
-            in
-            let best =
-              match (best, candidate) with
-              | None, c -> c
-              | b, None -> b
-              | Some b, Some c -> if Entry.better c b then Some c else Some b
-            in
-            go rest best probes)
-  in
-  go t.ordered None 0
+  lookup_from t.ordered None 0 flow
 
 (* First-match walk over hit-frequency-ranked tuples: sound when entries are
    pairwise disjoint (at most one can match), which Megaflow guarantees by
    construction.  A hit promotes its tuple to the front (O(1) on the
    intrusive list), so hot tuples are probed first — the ranked-subtable
    optimisation of OVS's dpcls. *)
-let lookup_first t flow =
-  let rec go node probes =
-    match node with
-    | None -> (None, probes)
-    | Some tuple -> (
-        let probes = probes + 1 in
-        let key = Mask.apply_scratch tuple.mask flow t.scratch in
-        match Flow.Tbl.find_opt tuple.buckets key with
-        | Some (e :: _) ->
-            rank_promote t tuple;
-            (Some e, probes)
-        | Some [] | None -> go tuple.rank_next probes)
-  in
-  go t.rank_head 0
+let rec lookup_first_from t node probes flow =
+  match node with
+  | None -> (None, probes)
+  | Some tuple -> (
+      let probes = probes + 1 in
+      match Masked_tbl.find tuple.buckets flow with
+      | e :: _ ->
+          rank_promote t tuple;
+          (Some e, probes)
+      | [] -> lookup_first_from t tuple.rank_next probes flow)
+
+let lookup_first t flow = lookup_first_from t t.rank_head 0 flow
 
 (* Replay support for memoised first-match lookups: recompute the probe
    count a live [lookup_first] would pay {e right now} to reach [entry]'s

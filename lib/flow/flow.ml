@@ -64,15 +64,3 @@ let pp fmt t =
   if !first then Format.pp_print_string fmt "<zero>"
 
 let to_string t = Format.asprintf "%a" pp t
-
-module Scratch = struct
-  type nonrec t = int array
-
-  let create () = Array.make Field.count 0
-
-  let fill_masked s ~mask flow =
-    for i = 0 to Field.count - 1 do
-      s.(i) <- mask.(i) land flow.(i)
-    done;
-    s
-end

@@ -3,9 +3,12 @@
     A [Flow.t] plays two roles, matching the paper's notation: it is both the
     header vector of an incoming packet ([F]) and the evolving flow state as
     actions modify fields while the packet moves through the pipeline
-    ([F^i]).  Values are immutable; [set] returns an updated copy. *)
+    ([F^i]).  Values are immutable; [set] returns an updated copy.
 
-type t
+    The representation (slot [i] holds [Field.of_index i]) is visible so that
+    {!Masked_tbl} probes read slots without a call; coerce only to read. *)
+
+type t = private int array
 
 val zero : t
 (** All fields 0. *)
@@ -49,20 +52,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints only non-zero fields, e.g. [eth_dst=0x2 ip_dst=0xa000001]. *)
 
 val to_string : t -> string
-
-(** Reusable flow buffer for allocation-free hot paths (classifier probes).
-
-    A scratch's {!Scratch.view} aliases mutable storage: it is only valid
-    until the next fill and must never be stored (e.g. never inserted as a
-    hash-table key) — only used for transient structural lookups. *)
-module Scratch : sig
-  type flow := t
-  type t
-
-  val create : unit -> t
-
-  val fill_masked : t -> mask:int array -> flow -> flow
-  (** [fill_masked s ~mask f] stores the per-field AND of [mask] and [f]
-      into [s] and returns the aliased view. [mask] must have length
-      {!Field.count} (see [Mask.apply_scratch] for the checked wrapper). *)
-end

@@ -102,8 +102,6 @@ let subsumes ~loose ~tight =
 
 let apply t flow = Flow.land_array flow t
 
-let apply_scratch t flow scratch = Flow.Scratch.fill_masked scratch ~mask:t flow
-
 let matches t ~pattern flow =
   let rec go i =
     i >= Field.count

@@ -84,10 +84,6 @@ val apply : t -> Flow.t -> Flow.t
 (** [apply m f] keeps only the significant bits of [f] (the paper's
     match-predicate construction: predicate = flow AND wildcard). *)
 
-val apply_scratch : t -> Flow.t -> Flow.Scratch.t -> Flow.t
-(** Allocation-free {!apply} into a reusable buffer; the result aliases the
-    scratch (see {!Flow.Scratch}) and is only for transient lookups. *)
-
 val matches : t -> pattern:Flow.t -> Flow.t -> bool
 (** [matches m ~pattern f] iff [f] agrees with [pattern] on every significant
     bit of [m].  [pattern] need not be pre-masked. *)

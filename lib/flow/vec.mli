@@ -13,3 +13,6 @@ val hash : int array -> int
 (** FNV-1a over the slots followed by an avalanche finalizer, so that every
     input bit reaches the low bits that power-of-two tables index by (see
     DESIGN.md, "Hashing and table sizing").  Non-negative. *)
+
+val mix : int -> int
+(** The finalizer {!hash} ends in (also {!Masked_tbl}'s); non-negative. *)

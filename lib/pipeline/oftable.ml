@@ -2,6 +2,7 @@ module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 
 (* One tuple of the search: all rules sharing a mask.  [field_keys] holds,
    per masked field, the sorted distinct key values present — the index the
@@ -9,7 +10,7 @@ module Fmatch = Gf_flow.Fmatch
 type tuple = {
   mask : Mask.t;
   mutable max_priority : int;
-  entries : Ofrule.t list Flow.Tbl.t;
+  entries : Ofrule.t Masked_tbl.t; (* best-first buckets *)
   mutable field_keys : (int * int array) list; (* (field index, sorted keys) *)
 }
 
@@ -21,7 +22,6 @@ type t = {
   rules : (int, Ofrule.t) Hashtbl.t;
   mutable tuples : tuple list; (* sorted by max_priority desc *)
   mutable dirty : bool;
-  scratch : Flow.Scratch.t; (* transient masked-key buffer for lookups *)
 }
 
 type lookup_result = {
@@ -41,7 +41,6 @@ let create ~id ~name ~match_fields ~miss =
     rules = Hashtbl.create 64;
     tuples = [];
     dirty = false;
-    scratch = Flow.Scratch.create ();
   }
 
 let id t = t.id
@@ -58,8 +57,10 @@ let rule_order (a : Ofrule.t) (b : Ofrule.t) =
 let rules t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.rules [] |> List.sort rule_order
 
+(* A bucket's rules share its masked key, so its head's pattern is the key. *)
 let build_field_keys tuple =
-  let keys = Flow.Tbl.fold (fun key _ acc -> key :: acc) tuple.entries [] in
+  let head_key rules acc = Fmatch.pattern (List.hd rules : Ofrule.t).fmatch :: acc in
+  let keys = Masked_tbl.fold head_key tuple.entries [] in
   tuple.field_keys <-
     List.filter_map
       (fun f ->
@@ -85,7 +86,7 @@ let rebuild t =
               {
                 mask;
                 max_priority = min_int;
-                entries = Flow.Tbl.create 32;
+                entries = Masked_tbl.create mask;
                 field_keys = [];
               }
             in
@@ -94,21 +95,26 @@ let rebuild t =
       in
       if r.priority > tuple.max_priority then tuple.max_priority <- r.priority;
       let key = Fmatch.pattern r.fmatch in
-      let existing = Option.value ~default:[] (Flow.Tbl.find_opt tuple.entries key) in
-      Flow.Tbl.replace tuple.entries key (List.sort rule_order (r :: existing)))
+      Masked_tbl.replace tuple.entries key
+        (List.sort rule_order (r :: Masked_tbl.find tuple.entries key)))
     t.rules;
   Mask.Tbl.iter (fun _ tuple -> build_field_keys tuple) by_mask;
+  (* Ties in mask order: [lookup] folds [exclude_tuple] over the probed
+     tuples in (reverse) probe order, and one exclusion can already cover the
+     next, so the order must not depend on [Mask.Tbl]'s hash order. *)
   t.tuples <-
     Mask.Tbl.fold (fun _ tu acc -> tu :: acc) by_mask []
-    |> List.sort (fun a b -> compare b.max_priority a.max_priority);
+    |> List.sort (fun a b ->
+           let c = Int.compare b.max_priority a.max_priority in
+           if c <> 0 then c else Mask.compare a.mask b.mask);
   t.dirty <- false
 
 let ensure t = if t.dirty then rebuild t
 
 (* Independent replica for a parallel-replay domain: shares the (immutable)
-   rules but owns its search state — tuple tables, lazy-rebuild flag and the
-   scratch probe buffer are all mutated during lookups, so replicas must not
-   share them across domains. *)
+   rules but owns its search state — the tuple tables and the lazy-rebuild
+   flag are mutated during lookups, so replicas must not share them across
+   domains. *)
 let copy t =
   {
     id = t.id;
@@ -118,7 +124,6 @@ let copy t =
     rules = Hashtbl.copy t.rules;
     tuples = [];
     dirty = true;
-    scratch = Flow.Scratch.create ();
   }
 
 let add_rule t (r : Ofrule.t) =
@@ -267,34 +272,26 @@ let exclude_tuple ~flow w tu =
     first_resolving fields
   end
 
+(* Pass 1 of [lookup]: probe tuples best-priority-first to find the
+   winner, recording which tuples were consulted (most recent first). *)
+let rec probe_tuples tuples best probed probes flow =
+  match tuples with
+  | [] -> (best, probed, probes)
+  | tuple :: rest -> (
+      match best with
+      | Some (r : Ofrule.t) when r.priority > tuple.max_priority -> (best, probed, probes)
+      | _ -> (
+          let probed = tuple :: probed and probes = probes + 1 in
+          match Masked_tbl.find tuple.entries flow with
+          | c :: _ -> (
+              match best with
+              | Some b when rule_order c b >= 0 -> probe_tuples rest best probed probes flow
+              | _ -> probe_tuples rest (Some c) probed probes flow)
+          | [] -> probe_tuples rest best probed probes flow))
+
 let lookup t flow =
   ensure t;
-  (* Pass 1: probe tuples best-priority-first to find the winner, recording
-     which tuples were consulted. *)
-  let rec go tuples best probed probes =
-    match tuples with
-    | [] -> (best, probed, probes)
-    | tuple :: rest -> (
-        match best with
-        | Some (r : Ofrule.t) when r.priority > tuple.max_priority ->
-            (best, probed, probes)
-        | _ ->
-            let probes = probes + 1 in
-            let key = Mask.apply_scratch tuple.mask flow t.scratch in
-            let candidate =
-              match Flow.Tbl.find_opt tuple.entries key with
-              | Some (r :: _) -> Some r
-              | Some [] | None -> None
-            in
-            let best =
-              match (best, candidate) with
-              | None, c -> c
-              | b, None -> b
-              | Some b, Some c -> if rule_order c b < 0 then Some c else Some b
-            in
-            go rest best (tuple :: probed) probes)
-  in
-  let best, probed, probes = go t.tuples None [] 0 in
+  let best, probed, probes = probe_tuples t.tuples None [] 0 flow in
   (* Pass 2: build the consulted wildcard — the winner's own mask plus
      minimal exclusion bits for every probed tuple that could beat it. *)
   let consulted =

@@ -108,6 +108,124 @@ let prop_nm_removal_trained =
     Nm.remove
     (fun t flow -> fst (Nm.lookup t flow))
 
+(* Both TSS walks against a linear-scan reference, on the winner and on
+   the probe count, across random inserts and removes.
+   - [lookup]: group the live entries by mask, order the groups by
+     decreasing maximum priority and then by mask, and probe until the
+     winner strictly out-prioritises the next group.
+   - [lookup_first]: a second classifier holds a pairwise-disjoint subset
+     (at most one entry can match); its tuples rank in creation order and
+     a hit promotes its tuple to the front. *)
+let prop_tss_walks_reference =
+  QCheck2.Test.make ~name:"tss walks = linear reference (winner, probes)" ~count:50
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let all = Tss.create () and disjoint = Tss.create () in
+      let live = ref [] and live_disjoint = ref [] and rank = ref [] in
+      let mask_of (e : int Entry.t) = Fmatch.mask e.Entry.fmatch in
+      let drop key l = List.filter (fun (e : int Entry.t) -> e.Entry.key <> key) l in
+      let ok = ref true in
+      let check_lookup flow =
+        let groups =
+          List.sort_uniq Mask.compare (List.map mask_of !live)
+          |> List.map (fun m ->
+                 let members = List.filter (fun e -> Mask.equal (mask_of e) m) !live in
+                 let maxp =
+                   List.fold_left (fun acc (e : int Entry.t) -> max acc e.Entry.priority) min_int
+                     members
+                 in
+                 (maxp, m, members))
+          |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare b a)
+        in
+        let rec walk groups best probes =
+          match (groups, best) with
+          | [], _ -> (best, probes)
+          | (maxp, _, _) :: _, Some (b : int Entry.t) when b.Entry.priority > maxp -> (best, probes)
+          | (_, _, members) :: rest, _ ->
+              let best =
+                List.fold_left
+                  (fun best e ->
+                    if not (Entry.matches e flow) then best
+                    else
+                      match best with
+                      | Some b when not (Entry.better e b) -> best
+                      | _ -> Some e)
+                  best members
+              in
+              walk rest best (probes + 1)
+        in
+        let expected, expected_probes = walk groups None 0 in
+        let got, probes = Tss.lookup all flow in
+        if winner_key got <> winner_key expected || probes <> expected_probes then ok := false
+      in
+      let check_lookup_first flow =
+        let rec walk pos = function
+          | [] -> (None, pos)
+          | m :: rest -> (
+              match
+                List.find_opt
+                  (fun e -> Mask.equal (mask_of e) m && Entry.matches e flow)
+                  !live_disjoint
+              with
+              | Some e -> (Some e, pos + 1)
+              | None -> walk (pos + 1) rest)
+        in
+        let expected, expected_probes = walk 0 !rank in
+        (match expected with
+        | Some e ->
+            let m = mask_of e in
+            rank := m :: List.filter (fun m' -> not (Mask.equal m m')) !rank
+        | None -> ());
+        let got, probes = Tss.lookup_first disjoint flow in
+        if winner_key got <> winner_key expected || probes <> expected_probes then ok := false
+      in
+      for key = 0 to 299 do
+        match Gf_util.Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+            let rule = pool_rule rng ~id:key ~action:(Gf_pipeline.Action.output key) in
+            let e =
+              Entry.v ~key ~fmatch:rule.Gf_pipeline.Ofrule.fmatch
+                ~priority:rule.Gf_pipeline.Ofrule.priority key
+            in
+            Tss.insert all e;
+            live := e :: !live;
+            if
+              not
+                (List.exists
+                   (fun (d : int Entry.t) -> Fmatch.overlaps d.Entry.fmatch e.Entry.fmatch)
+                   !live_disjoint)
+            then begin
+              Tss.insert disjoint e;
+              if not (List.exists (Mask.equal (mask_of e)) !rank) then
+                rank := !rank @ [ mask_of e ];
+              live_disjoint := e :: !live_disjoint
+            end
+        | 4 | 5 -> (
+            match !live with
+            | [] -> ()
+            | l ->
+                let e = Gf_util.Rng.pick_list rng l in
+                ignore (Tss.remove all e.Entry.key);
+                live := drop e.Entry.key !live;
+                if Tss.remove disjoint e.Entry.key then begin
+                  live_disjoint := drop e.Entry.key !live_disjoint;
+                  if not (List.exists (fun d -> Mask.equal (mask_of d) (mask_of e)) !live_disjoint)
+                  then rank := List.filter (fun m -> not (Mask.equal m (mask_of e))) !rank
+                end)
+        | _ ->
+            let flow =
+              match !live with
+              | e :: _ when Gf_util.Rng.bool rng ->
+                  let e = Gf_util.Rng.pick_list rng (e :: !live) in
+                  agreeing_flow rng (mask_of e) (Fmatch.pattern e.Entry.fmatch)
+              | _ -> pool_flow rng
+            in
+            check_lookup flow;
+            check_lookup_first flow
+      done;
+      !ok)
+
 let test_duplicate_key_rejected () =
   let t = Tss.create () in
   let e = Entry.v ~key:1 ~fmatch:Fmatch.any ~priority:0 () in
@@ -207,6 +325,7 @@ let props =
     prop_nm_agrees_linear;
     prop_nm_untrained_agrees;
     prop_tss_removal;
+    prop_tss_walks_reference;
     prop_nm_removal;
     prop_nm_removal_trained;
   ]

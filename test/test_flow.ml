@@ -5,6 +5,7 @@ module Field = Gf_flow.Field
 module Flow = Gf_flow.Flow
 module Mask = Gf_flow.Mask
 module Fmatch = Gf_flow.Fmatch
+module Masked_tbl = Gf_flow.Masked_tbl
 module Headers = Gf_flow.Headers
 
 let test_field_roundtrip () =
@@ -101,12 +102,97 @@ let prop_mask_subsumes_weaker =
       (not (Mask.matches m ~pattern:pat flow))
       || Mask.matches loose ~pattern:pat flow)
 
-let prop_apply_scratch_agrees =
-  QCheck2.Test.make ~name:"apply_scratch = apply" ~count:300
-    QCheck2.Gen.(pair gen_mask gen_flow)
-    (fun (m, flow) ->
-      let scratch = Flow.Scratch.create () in
-      Flow.equal (Mask.apply m flow) (Mask.apply_scratch m flow scratch))
+(* A probe with the unmasked flow finds exactly what a probe with the
+   pre-masked flow finds: the table reads only the mask's significant
+   bits. *)
+let prop_masked_tbl_probe_agrees =
+  QCheck2.Test.make ~name:"Masked_tbl probe = probe with apply" ~count:300
+    QCheck2.Gen.(triple gen_mask gen_flow (pair gen_flow (int_range 0 10_000)))
+    (fun (m, key, (other, seed)) ->
+      let rng = Gf_util.Rng.create seed in
+      let tbl = Masked_tbl.create m in
+      Masked_tbl.replace tbl key [ 1 ];
+      let agreeing = agreeing_flow rng m key in
+      List.for_all
+        (fun probe ->
+          Masked_tbl.find tbl probe = Masked_tbl.find tbl (Mask.apply m probe)
+          && Masked_tbl.find tbl probe
+             = if Flow.equal (Mask.apply m probe) (Mask.apply m key) then [ 1 ] else [])
+        [ key; agreeing; other ])
+
+(* Model check of [Masked_tbl] against [Flow.Tbl] keyed by [Mask.apply mask
+   key]: a random interleaving of insert/replace, remove (binding [[]]) and
+   find, every operation given an unmasked flow.  Keys come from small value
+   pools so masked keys repeat (replace, remove hits) and tables grow; the
+   mix can be removal-heavy.  Returns whether every result agreed, the largest
+   capacity reached and the number of wrapped entries seen. *)
+let masked_tbl_model_run ~seed ~mask ~ops ~insert_pct =
+  let rng = Gf_util.Rng.create seed in
+  let tbl = Masked_tbl.create mask and model = Flow.Tbl.create 16 in
+  let keys = ref [||] in
+  let ok = ref true and max_cap = ref 0 and wraps = ref 0 in
+  let known () =
+    if Array.length !keys > 0 && Gf_util.Rng.int rng 4 > 0 then
+      agreeing_flow rng mask (Gf_util.Rng.pick rng !keys)
+    else pool_flow rng
+  in
+  for i = 1 to ops do
+    let r = Gf_util.Rng.int rng 100 in
+    if r < insert_pct then begin
+      let key = pool_flow rng in
+      keys := Array.append !keys [| key |];
+      Masked_tbl.replace tbl key [ i ];
+      Flow.Tbl.replace model (Mask.apply mask key) [ i ]
+    end
+    else if r < insert_pct + ((100 - insert_pct) * 2 / 3) then begin
+      let key = known () in
+      Masked_tbl.replace tbl key [];
+      Flow.Tbl.remove model (Mask.apply mask key)
+    end
+    else begin
+      let flow = known () in
+      let expected = Option.value ~default:[] (Flow.Tbl.find_opt model (Mask.apply mask flow)) in
+      if Masked_tbl.find tbl flow <> expected then ok := false
+    end;
+    wraps := !wraps + Masked_tbl.check_invariants tbl;
+    max_cap := max !max_cap (Masked_tbl.capacity tbl);
+    if Masked_tbl.length tbl <> Flow.Tbl.length model then ok := false
+  done;
+  Flow.Tbl.iter
+    (fun key v -> if Masked_tbl.find tbl key <> v then ok := false)
+    model;
+  (!ok, !max_cap, !wraps)
+
+let prop_masked_tbl_model =
+  QCheck2.Test.make ~name:"Masked_tbl = Flow.Tbl on masked keys" ~count:150
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) gen_mask (int_range 1 400) (oneofl [ 30; 50; 70; 90 ]))
+    (fun (seed, mask, ops, insert_pct) ->
+      let ok, _, _ = masked_tbl_model_run ~seed ~mask ~ops ~insert_pct in
+      ok)
+
+(* The model check's fixed-seed runs must really reach what the table is
+   built to survive: growth well past the initial capacity, clusters that
+   wrap from the last slot to the first (common only in small tables, hence
+   many short runs), and removal-heavy churn that shifts clusters back. *)
+let test_masked_tbl_coverage () =
+  let max_cap = ref 0 in
+  List.iter
+    (fun insert_pct ->
+      let wraps = ref 0 in
+      for seed = 1 to 100 do
+        let ok, cap, w =
+          masked_tbl_model_run ~seed ~mask:Mask.full ~ops:120 ~insert_pct
+        in
+        Alcotest.(check bool) "agrees with model" true ok;
+        max_cap := max !max_cap cap;
+        wraps := !wraps + w
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "wrap-around clusters at %d%% inserts (%d)" insert_pct !wraps)
+        true (!wraps > 0))
+    [ 90; 50; 30 ];
+  Alcotest.(check bool) (Printf.sprintf "grows (capacity %d)" !max_cap) true (!max_cap >= 128)
 
 let test_fmatch_canonical () =
   let pattern = Flow.make [ (Field.Ip_dst, 0x0A0000FF) ] in
@@ -335,6 +421,7 @@ let suite =
     ("fmatch prefix", `Quick, test_fmatch_prefix);
     ("flow update empty no copy", `Quick, test_flow_update_empty_no_copy);
     ("mask tbl basics", `Quick, test_mask_tbl_basic);
+    ("masked tbl model coverage", `Quick, test_masked_tbl_coverage);
     ("flow hash spreads prefix keys", `Quick, test_flow_hash_spreads_prefixes);
     ("mask hash spreads prefix masks", `Quick, test_mask_hash_spreads);
     ("headers ipv4", `Quick, test_headers_ipv4);
@@ -347,7 +434,8 @@ let props =
     prop_mask_lattice;
     prop_mask_matches_semantics;
     prop_mask_subsumes_weaker;
-    prop_apply_scratch_agrees;
+    prop_masked_tbl_probe_agrees;
+    prop_masked_tbl_model;
     prop_fmatch_overlap_symmetric;
     prop_fmatch_overlap_witness;
     prop_fmatch_specific;

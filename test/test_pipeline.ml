@@ -455,6 +455,46 @@ let prop_unwildcard_nested_prefixes =
       done;
       !ok)
 
+(* Tuples with equal maximum priority are probed in mask order, so the
+   outcome, the consulted wildcard (minimal unwildcarding folds over the
+   probed tuples in order) and the probe count depend on the rule set alone,
+   not on the order the rules were added in. *)
+let prop_oftable_order_free =
+  QCheck2.Test.make ~name:"oftable lookup independent of insertion order" ~count:40
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Gf_util.Rng.create seed in
+      let rules =
+        Array.init
+          (10 + Gf_util.Rng.int rng 70)
+          (fun id -> pool_rule rng ~id ~action:(Action.output id))
+      in
+      let base = mk_table (Array.to_list rules) in
+      let permuted =
+        List.init 3 (fun _ ->
+            let a = Array.copy rules in
+            Gf_util.Rng.shuffle rng a;
+            mk_table (Array.to_list a))
+      in
+      let outcome_id (r : Oftable.lookup_result) =
+        match r.Oftable.outcome with `Hit rule -> rule.Ofrule.id | `Miss -> -1
+      in
+      List.for_all
+        (fun flow ->
+          let r = Oftable.lookup base flow in
+          List.for_all
+            (fun t ->
+              let r' = Oftable.lookup t flow in
+              outcome_id r = outcome_id r'
+              && Mask.equal r.Oftable.consulted r'.Oftable.consulted
+              && r.Oftable.probes = r'.Oftable.probes)
+            permuted)
+        (List.init 60 (fun i ->
+             if i mod 2 = 0 then pool_flow rng
+             else
+               let fm = (Gf_util.Rng.pick rng rules).Ofrule.fmatch in
+               agreeing_flow rng (Fmatch.mask fm) (Fmatch.pattern fm))))
+
 let suite =
   [
     ("action apply_sets", `Quick, test_action_apply_sets);
@@ -478,4 +518,9 @@ let suite =
   ]
 
 let props =
-  [ prop_unwildcard_sound; prop_unwildcard_nested_prefixes; prop_wildcard_of_steps_reference ]
+  [
+    prop_unwildcard_sound;
+    prop_unwildcard_nested_prefixes;
+    prop_wildcard_of_steps_reference;
+    prop_oftable_order_free;
+  ]

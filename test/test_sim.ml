@@ -449,6 +449,29 @@ let test_hierarchy_regression () =
     ]
     125345.673076914
 
+(* Probe-count golden: a digest of [fingerprint], which carries every
+   level's [work] (TSS and pipeline probe counts) next to its hit, miss,
+   install and eviction counts.  A classifier change that moves a single
+   probe fails here, not only in a CLI diff.  The digests were captured
+   before the tuple tables moved to [Masked_tbl]. *)
+let test_probe_count_golden () =
+  let check name cfg locality expected =
+    let _, m = run cfg (small_workload ~locality ()) in
+    let digest =
+      fingerprint m |> List.map string_of_int |> String.concat ","
+      |> Digest.string |> Digest.to_hex
+    in
+    Alcotest.(check string) (name ^ " fingerprint digest") expected digest
+  in
+  check "emc_gf_sw high" (Datapath.emc_gf_sw ()) Ruleset.High
+    "52c311d2609480718e7e52f4f43e8714";
+  check "emc_gf_sw low" (Datapath.emc_gf_sw ()) Ruleset.Low
+    "172c5b1676a25b23122b090d24b44304";
+  check "gf_sw_hh high" (Datapath.gf_sw_hh ()) Ruleset.High
+    "782cecab70bac5cb45ac0e9a0f90b170";
+  check "gf_sw_hh low" (Datapath.gf_sw_hh ()) Ruleset.Low
+    "e3b39f494d9babaa4515d356f3d0583f"
+
 (* Satellite: per-level eviction accounting.  The seed dropped EMC and
    software-cache eviction counts on the floor ([ignore]d); now every
    level's sweep is recorded, and the hardware aggregate equals the sum of
@@ -600,6 +623,7 @@ let suite =
     ("parallel 1-domain = plain datapath", `Slow, test_parallel_single_domain_matches_datapath);
     ("parallel model cross-validation", `Quick, test_parallel_model_cross_validation);
     ("hierarchy walker = pre-refactor datapath", `Quick, test_hierarchy_regression);
+    ("probe-count golden", `Quick, test_probe_count_golden);
     ("per-level eviction accounting", `Quick, test_per_level_eviction_accounting);
     ("per-level idle budgets", `Quick, test_per_level_max_idle);
     ("parallel custom hierarchy", `Slow, test_parallel_custom_hierarchy);
